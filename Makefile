@@ -7,7 +7,7 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass (long campaigns run manually).
 FUZZTIME ?= 5s
 
-.PHONY: build test race vet check fuzz-smoke bench-smoke bench-read bench-scale bench-durability bench-elastic trace-smoke api-snapshot api-check
+.PHONY: build test race vet check perfbench-check fuzz-smoke bench-smoke bench-read bench-scale bench-durability bench-elastic trace-smoke api-snapshot api-check
 
 # The public surface of the client-facing packages, as sorted declaration
 # lines from `go doc -all`. api-check fails when the surface drifts from
@@ -47,9 +47,16 @@ race:
 vet:
 	$(GO) vet ./...
 
-check: build vet test api-check trace-smoke bench-scale bench-durability bench-elastic
+check: build vet test api-check trace-smoke bench-scale bench-durability bench-elastic perfbench-check
 	$(GO) test -race ./internal/wire ./internal/core ./internal/storage ./internal/replica ./internal/faultinject ./internal/scale
 	$(GO) test -race -run 'Replicated|ReplicaAppend|SeededKill|GossipHeadResumes|TailSurvives|TailZeroFullScans' ./internal/flstore
+
+# perfbench-check builds and tests the benchmark module. It is a separate
+# Go module (perfbench/go.mod), so the root `go test ./...` does not see
+# it, yet it wraps the maintainer and store interfaces and must keep
+# compiling against them.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # trace-smoke proves the tracing layer end to end: the span trees of a
 # reduced tracelat run must cover client → pipeline → maintainer →
@@ -99,11 +106,11 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='Allocs$$' -benchmem -benchtime=100x ./internal/flstore ./internal/chariots
 
 # bench-read runs the read-path benchmarks: batched range read vs single
-# reads, cached tail reads, and push vs poll tailing. The corresponding
+# reads, cached tail reads, and push tailing. The corresponding
 # budgets are enforced by TestReadRangeAllocBudget / TestTailCachedReadAllocBudget.
 # The read-scaling smoke drives a miniature replica-count sweep (R=1 and
 # R=3 over real TCP) end to end; the ≥2× throughput bar itself is enforced
 # by `repro -exp readpath` with full budgets.
 bench-read:
-	$(GO) test -run='^$$' -bench='ReadRange|SingleReads|TailCached|TailPushVsPoll' -benchmem -benchtime=100x ./internal/flstore
+	$(GO) test -run='^$$' -bench='ReadRange|SingleReads|TailCached|TailPush' -benchmem -benchtime=100x ./internal/flstore
 	$(GO) test -run 'TestReadScalingSweepSmoke' -count=1 ./internal/cluster

@@ -119,3 +119,40 @@ func TestStartStopIdempotent(t *testing.T) {
 		t.Error("append after stop succeeded")
 	}
 }
+
+// TestDurableWatermarkReachesHeadOnSegmentStore: the datacenter wraps each
+// configured store to charge its machine model, and that wrapper must not
+// hide the store's durability — over a group-commit segment store the
+// maintainer's durable watermark has to cover every acknowledged append.
+func TestDurableWatermarkReachesHeadOnSegmentStore(t *testing.T) {
+	st, err := storage.OpenSegmentStore(t.TempDir(), storage.SegmentStoreOptions{Sync: storage.SyncGroupCommit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastCfg(0, 1)
+	cfg.Maintainers = 1
+	cfg.Stores = []storage.Store{st}
+	dc := startDC(t, cfg)
+	const n = 10
+	for i := 0; i < n; i++ {
+		if _, err := dc.Append([]byte(fmt.Sprintf("d-%d", i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Acks precede the queue's store write, so wait for the head to cover
+	// every append first. The watermark is in next-unfilled form: head+1
+	// once every position up to the head is fsynced.
+	var head, wm uint64
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if head, err = dc.Head(); err != nil {
+			t.Fatal(err)
+		}
+		if wm, err = dc.Maintainers()[0].DurableWatermark(0); err != nil {
+			t.Fatal(err)
+		}
+		if head == n && wm == n+1 {
+			return
+		}
+	}
+	t.Fatalf("head %d, durable watermark %d after %d acked appends, want %d and %d", head, wm, n, n, n+1)
+}

@@ -13,9 +13,9 @@ import (
 // ReadPathOptions configures the read-path experiment: a closed-loop tail
 // (each record is appended only after the tailing consumer has seen the
 // previous one — the append→visible latency expressed as a rate) measured
-// on the push-subscription path and on the legacy poll path, plus a bulk
-// read of the resulting log via one scatter-gather ReadRange versus
-// single-record round trips.
+// on the push-subscription path (Client.Tail) and on a client-side poll
+// loop (pollTail), plus a bulk read of the resulting log via one
+// scatter-gather ReadRange versus single-record round trips.
 type ReadPathOptions struct {
 	Maintainers int
 	BatchSize   uint64
@@ -83,13 +83,13 @@ func newReadPathStack(opts ReadPathOptions) (*flstore.Client, error) {
 // On the poll path every head advance pays the poll tick before the
 // consumer sees it; on the push path the consumer is woken directly by the
 // maintainer's frontier advance.
-func runClosedLoopTail(c *flstore.Client, opts ReadPathOptions) (int, time.Duration, error) {
+func runClosedLoopTail(c *flstore.Client, tail tailFunc, opts ReadPathOptions) (int, time.Duration, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	acks := make(chan uint64, opts.Records)
 	tailErr := make(chan error, 1)
 	go func() {
-		tailErr <- c.Tail(ctx, 1, func(r *core.Record) bool {
+		tailErr <- tail(ctx, 1, func(r *core.Record) bool {
 			acks <- r.LId
 			return true
 		})
@@ -125,6 +125,52 @@ func runClosedLoopTail(c *flstore.Client, opts ReadPathOptions) (int, time.Durat
 	return int(seen), elapsed, nil
 }
 
+// tailFunc streams the log from a position in LId order until ctx ends or
+// fn returns false — the shape of Client.Tail.
+type tailFunc func(ctx context.Context, fromLId uint64, fn func(*core.Record) bool) error
+
+// pollTick is the poll arm's sleep between head checks.
+const pollTick = 2 * time.Millisecond
+
+// pollTail is the poll arm of the experiment: a tail built from the
+// client's point operations alone, as a subscriber without the TailWait
+// long-poll would write it. Every tick it re-derives the exact head and
+// fetches the newly covered window by position with ReadLIds.
+func pollTail(c *flstore.Client) tailFunc {
+	return func(ctx context.Context, fromLId uint64, fn func(*core.Record) bool) error {
+		cursor := fromLId
+		for {
+			head, err := c.HeadExact()
+			if err != nil {
+				return err
+			}
+			if head >= cursor {
+				lids := make([]uint64, 0, head-cursor+1)
+				for lid := cursor; lid <= head; lid++ {
+					lids = append(lids, lid)
+				}
+				recs, err := c.ReadLIdsCtx(ctx, lids)
+				if err != nil {
+					return err
+				}
+				for _, rec := range recs {
+					if !fn(rec) {
+						return nil
+					}
+				}
+				cursor = head + 1
+			}
+			timer := time.NewTimer(pollTick)
+			select {
+			case <-ctx.Done():
+				timer.Stop()
+				return ctx.Err()
+			case <-timer.C:
+			}
+		}
+	}
+}
+
 // RunReadPath measures the four read-path rates.
 func RunReadPath(opts ReadPathOptions) (ReadPathResult, error) {
 	if opts.Maintainers <= 0 {
@@ -149,7 +195,7 @@ func RunReadPath(opts ReadPathOptions) (ReadPathResult, error) {
 	if err != nil {
 		return res, err
 	}
-	n, elapsed, err := runClosedLoopTail(push, opts)
+	n, elapsed, err := runClosedLoopTail(push, push.Tail, opts)
 	if err != nil {
 		return res, err
 	}
@@ -160,8 +206,7 @@ func RunReadPath(opts ReadPathOptions) (ReadPathResult, error) {
 	if err != nil {
 		return res, err
 	}
-	poll.DisableRangeRead = true
-	n, elapsed, err = runClosedLoopTail(poll, opts)
+	n, elapsed, err = runClosedLoopTail(poll, pollTail(poll), opts)
 	if err != nil {
 		return res, err
 	}

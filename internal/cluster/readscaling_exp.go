@@ -42,9 +42,8 @@ type ReadScalingOptions struct {
 }
 
 // pacedMember fronts a maintainer with a fixed per-read service time. It
-// embeds the maintainer, so ServeMaintainer's type assertions see the full
-// replica/range-read/invalidation surface; only Read — the swept call — is
-// paced. Reads are served inline in connection order, so the delay bounds
+// embeds the maintainer for the rest of the surface; only Read — the swept
+// call — is paced. Reads are served inline in connection order, so the delay bounds
 // one connection's read throughput exactly like a busy member would.
 type pacedMember struct {
 	*flstore.Maintainer
@@ -147,7 +146,7 @@ func runReadScalingPoint(opts ReadScalingOptions, r int) (ReadScalingPoint, erro
 	// AckAll preloading: every group member holds every payload before the
 	// measurement starts, so reads never block on an in-flight
 	// invalidation and the sweep isolates read-path capacity.
-	client, err := flstore.NewReplicatedDirectClientWith(p, apis, nil, r, replica.AckAll,
+	client, err := flstore.NewReplicatedDirectClient(p, apis, nil, r, replica.AckAll,
 		flstore.WithReadPolicy(replica.SpreadReads()))
 	if err != nil {
 		return pt, err

@@ -7,11 +7,19 @@ import (
 	"repro/internal/trace"
 )
 
-// MaintainerAPI is the operation surface of one log maintainer. Components
-// program against this interface; it is implemented both by *Maintainer
-// (in-process) and by maintainerClient (over RPC), so deployments can mix
-// direct, loopback-TCP, and cross-machine wiring without code changes.
+// MaintainerAPI is the operation surface of one log maintainer — the one
+// role of §5: it appends, reads, replicates, and gossips its next-unfilled
+// position. Components program against this interface; it is implemented
+// both by *Maintainer (in-process) and by maintainerClient (over RPC), so
+// deployments can mix direct, loopback-TCP, and cross-machine wiring
+// without code changes. The embedded role interfaces only group the
+// methods for documentation; every maintainer handle carries all of them.
 type MaintainerAPI interface {
+	ReplicaAPI
+	DurableGossipAPI
+	InvalidationAPI
+	RangeReadAPI
+
 	// Append stores the records with post-assigned LIds (§5.2) and
 	// returns the assigned LIds in order. Records must not carry LIds.
 	Append(recs []*core.Record) ([]uint64, error)
@@ -45,15 +53,13 @@ type MaintainerAPI interface {
 
 	// Gossip delivers another maintainer's next-unfilled value (§5.4)
 	// and returns this maintainer's own, so gossip doubles as exchange.
+	// The scalar form of GossipVecs, which Gossiper rounds send.
 	Gossip(from int, next uint64) (uint64, error)
 }
 
-// ReplicaAPI is the additional surface a replication-aware maintainer
-// exposes. It is kept separate from MaintainerAPI so unreplicated
-// deployments (and older fakes) keep compiling; callers type-assert, and
-// ServeMaintainer registers these handlers only when the implementation
-// provides them. Together with MaintainerAPI's Append and Read this is a
-// superset of replica.Member.
+// ReplicaAPI is the replication role of a maintainer. Together with
+// MaintainerAPI's Append and Read and the InvalidationAPI methods it is
+// replica.Member.
 type ReplicaAPI interface {
 	// AppendFor post-assigns positions in a hosted range other than the
 	// maintainer's own — the acting-primary failover path.
@@ -67,15 +73,13 @@ type ReplicaAPI interface {
 	// PullRange streams stored records of a hosted range for catch-up.
 	PullRange(rangeIdx int, fromLId uint64, limit int) ([]*core.Record, error)
 	// GossipVec exchanges whole next-unfilled vectors so replicated
-	// progress for a dead owner's range spreads.
+	// progress for a dead owner's range spreads. GossipVecs without the
+	// durable vector.
 	GossipVec(vec []uint64) ([]uint64, error)
 }
 
-// DurableGossipAPI is the durability-aware gossip surface. It is kept
-// separate from ReplicaAPI so pre-durability fakes and deployments keep
-// compiling: the gossiper type-asserts and falls back to GossipVec, and
-// ServeMaintainer registers the handler only when the implementation
-// provides it.
+// DurableGossipAPI is the durability-aware gossip role of a maintainer —
+// the exchange every Gossiper round uses.
 type DurableGossipAPI interface {
 	// GossipVecs exchanges the next-unfilled vector together with the
 	// durable-watermark vector (highest LId per range known quorum-fsynced).
@@ -84,12 +88,9 @@ type DurableGossipAPI interface {
 	GossipVecs(next, dur []uint64) ([]uint64, []uint64, error)
 }
 
-// InvalidationAPI is the Hermes-style invalidation surface of a
-// replication-aware maintainer. Like ReplicaAPI it is kept separate so
-// unreplicated deployments and older fakes keep compiling: callers
-// type-assert (the replica session probes for replica.Invalidator /
-// replica.WatermarkReporter, which this satisfies), and ServeMaintainer
-// registers the handlers only when the implementation provides them.
+// InvalidationAPI is the Hermes-style invalidation role of a maintainer:
+// the replica session announces each batch's assignment through it ahead
+// of the payload.
 type InvalidationAPI interface {
 	// Invalidate announces that every position of rangeIdx strictly below
 	// upTo has been assigned by the range's acting primary; positions
@@ -136,11 +137,8 @@ type RangeResult struct {
 	CoveredHi uint64
 }
 
-// RangeReadAPI is the batched read surface of a maintainer. Like
-// ReplicaAPI it is kept out of MaintainerAPI so legacy fakes keep
-// compiling: callers type-assert, ServeMaintainer registers its handlers
-// only when the implementation provides them, and the client falls back to
-// the single-record/scan paths when any wired maintainer lacks it.
+// RangeReadAPI is the batched read role of a maintainer: scatter-gather
+// range reads, multi-position reads, and the tail long-poll.
 type RangeReadAPI interface {
 	// ReadRange returns every hosted record in [q.Lo, q.Hi] as one batch,
 	// ascending, within the query's budgets.

@@ -28,7 +28,6 @@ type Client struct {
 	epochs      []Epoch
 	maintainers []MaintainerAPI
 	indexers    []IndexerAPI
-	rr          atomic.Uint64 // round-robin append target (session == nil)
 
 	// epochMembers holds per-epoch maintainer handles, index-aligned with
 	// epochs — the routing side of epoch-carried topology (§6.3). The last
@@ -38,31 +37,16 @@ type Client struct {
 	// back to the current member set (pre-topology journals).
 	epochMembers [][]MaintainerAPI
 
-	// session is the replication layer; nil when R == 1 and the wired
-	// maintainers don't expose the replica surface (legacy fakes).
+	// session is the replication layer (R = 1 is a group of one): it
+	// routes appends, fails reads over, and folds group frontiers.
 	session *replica.Session
 
-	// rangeCapable records whether every wired maintainer implements
-	// RangeReadAPI (recomputed on SetMaintainer); when false the client
-	// stays on the single-record/scan paths.
-	rangeCapable bool
-
-	// DisableRangeRead forces the legacy read paths even when every
-	// maintainer supports batched reads — the comparison knob the
-	// read-path experiment and benchmarks flip.
-	//
-	// Deprecated: set at construction via NewClientWith and
-	// WithRangeReadDisabled instead of mutating the field.
-	DisableRangeRead bool
-
-	// ReadRetry configures how long reads wait for the head of the log
-	// to pass the requested position before giving up: up to ReadRetries
-	// attempts on a capped-exponential schedule seeded at RetryBackoff.
-	//
-	// Deprecated: set at construction via NewClientWith and
-	// WithReadRetries / WithRetryBackoff instead of mutating the fields.
-	ReadRetries  int
-	RetryBackoff time.Duration
+	// readRetries/retryBackoff configure how long reads wait for the head
+	// of the log to pass the requested position before giving up: up to
+	// readRetries attempts on a capped-exponential schedule seeded at
+	// retryBackoff; configured via WithReadRetries / WithRetryBackoff.
+	readRetries  int
+	retryBackoff time.Duration
 
 	// appendRetries/appendBackoff bound the overload-retry loop on the
 	// append path (0 retries = surface ErrOverloaded to the caller, the
@@ -105,7 +89,7 @@ func isLogicError(err error) bool {
 
 // NewClient starts a session: it polls the controller for the cluster
 // configuration and dials every maintainer and indexer over TCP.
-func NewClient(ctrl ControllerAPI) (*Client, error) {
+func NewClient(ctrl ControllerAPI, opts ...ClientOption) (*Client, error) {
 	cfg, err := ctrl.GetConfig()
 	if err != nil {
 		return nil, fmt.Errorf("flstore: session init: %w", err)
@@ -113,8 +97,8 @@ func NewClient(ctrl ControllerAPI) (*Client, error) {
 	c := &Client{
 		placement:    cfg.Placement,
 		epochs:       cfg.Epochs,
-		ReadRetries:  50,
-		RetryBackoff: 2 * time.Millisecond,
+		readRetries:  defaultReadRetries,
+		retryBackoff: defaultRetryBackoff,
 	}
 	if len(c.epochs) == 0 {
 		// A controller normalizes its journal; tolerate a bare Config.
@@ -168,30 +152,33 @@ func NewClient(ctrl ControllerAPI) (*Client, error) {
 			return nil, err
 		}
 	}
-	if err := c.initSession(cfg.Replication, ack); err != nil {
+	if err := c.initSession(cfg.Replication, ack, opts); err != nil {
 		return nil, err
 	}
-	c.updateRangeCapable()
 	return c, nil
 }
 
 // NewDirectClient wires a client to in-process (or pre-dialed) component
 // APIs — the path used by simulations and tests. Replication is off
 // (R = 1); use NewReplicatedDirectClient for replica groups.
-func NewDirectClient(p Placement, maintainers []MaintainerAPI, indexers []IndexerAPI) (*Client, error) {
-	return NewReplicatedDirectClient(p, maintainers, indexers, 1, replica.AckOne)
+func NewDirectClient(p Placement, maintainers []MaintainerAPI, indexers []IndexerAPI, opts ...ClientOption) (*Client, error) {
+	return NewReplicatedDirectClient(p, maintainers, indexers, 1, replica.AckOne, opts...)
 }
 
 // NewReplicatedDirectClient wires a client to in-process (or pre-dialed)
 // component APIs with a replica layout of R copies per range under the
-// given ack policy. Every maintainer handle must expose the replica
-// surface when R > 1.
-func NewReplicatedDirectClient(p Placement, maintainers []MaintainerAPI, indexers []IndexerAPI, r int, ack replica.AckPolicy) (*Client, error) {
+// given ack policy.
+func NewReplicatedDirectClient(p Placement, maintainers []MaintainerAPI, indexers []IndexerAPI, r int, ack replica.AckPolicy, opts ...ClientOption) (*Client, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if len(maintainers) != p.NumMaintainers {
 		return nil, fmt.Errorf("flstore: %d maintainers for placement of %d", len(maintainers), p.NumMaintainers)
+	}
+	for i, m := range maintainers {
+		if m == nil {
+			return nil, fmt.Errorf("flstore: maintainer %d handle is nil", i)
+		}
 	}
 	c := &Client{
 		placement:    p,
@@ -199,34 +186,32 @@ func NewReplicatedDirectClient(p Placement, maintainers []MaintainerAPI, indexer
 		maintainers:  maintainers,
 		epochMembers: [][]MaintainerAPI{maintainers},
 		indexers:     indexers,
-		ReadRetries:  50,
-		RetryBackoff: 2 * time.Millisecond,
+		readRetries:  defaultReadRetries,
+		retryBackoff: defaultRetryBackoff,
 	}
-	if err := c.initSession(r, ack); err != nil {
+	if err := c.initSession(r, ack, opts); err != nil {
 		return nil, err
 	}
-	c.updateRangeCapable()
 	return c, nil
 }
 
-// initSession builds the replica session over the wired maintainers. With
-// R <= 1 and maintainers that don't expose the replica surface (legacy
-// fakes), the client silently stays on the unreplicated paths; with R > 1
-// every member must support it.
-func (c *Client) initSession(r int, ack replica.AckPolicy) error {
+// Read-retry defaults: reads wait up to ~50 capped-exponential rounds
+// seeded at 2ms for the head of the log to pass the requested position.
+const (
+	defaultReadRetries  = 50
+	defaultRetryBackoff = 2 * time.Millisecond
+)
+
+// initSession builds the replica session over the wired maintainers (a
+// group of one per range when r <= 1), then applies the construction-time
+// options, which may configure the session.
+func (c *Client) initSession(r int, ack replica.AckPolicy, opts []ClientOption) error {
 	if r < 1 {
 		r = 1
 	}
 	members := make([]replica.Member, len(c.maintainers))
 	for i, m := range c.maintainers {
-		rm, ok := m.(replica.Member)
-		if !ok {
-			if r > 1 {
-				return fmt.Errorf("flstore: maintainer %d does not support replication (R=%d)", i, r)
-			}
-			return nil
-		}
-		members[i] = rm
+		members[i] = m
 	}
 	p := c.placement
 	s, err := replica.NewSession(members, replica.SessionConfig{
@@ -240,21 +225,18 @@ func (c *Client) initSession(r int, ack replica.AckPolicy) error {
 		return err
 	}
 	c.session = s
+	for _, opt := range opts {
+		opt(c)
+	}
 	return nil
 }
 
 // Placement returns the placement the client is operating under.
 func (c *Client) Placement() Placement { return c.placement }
 
-// Session exposes the replication layer (nil on legacy unreplicated
-// wiring): tests and operators use it for health, catch-up, and rejoin.
+// Session exposes the replication layer: tests and operators use it for
+// health, catch-up, and rejoin.
 func (c *Client) Session() *replica.Session { return c.session }
-
-// pickMaintainer selects the append target round-robin (legacy path).
-func (c *Client) pickMaintainer() MaintainerAPI {
-	i := c.rr.Add(1) - 1
-	return c.maintainers[int(i%uint64(len(c.maintainers)))]
-}
 
 // Append inserts a record with the given body and tags into the shared log
 // (§3's Append(record, tags)) and returns the assigned LId. The record is
@@ -319,7 +301,7 @@ func (c *Client) AppendBatchCtx(ctx context.Context, recs []*core.Record) ([]uin
 				}
 			}
 		}
-		lids, err := c.appendOnce(recs)
+		lids, err := c.session.Append(recs)
 		if err == nil {
 			c.pace.onSuccess(n)
 			var lid0 uint64
@@ -367,15 +349,6 @@ func (c *Client) AppendBatchCtx(ctx context.Context, recs []*core.Record) ([]uin
 	}
 }
 
-// appendOnce performs one append attempt over the session (replicated) or
-// the round-robin direct path.
-func (c *Client) appendOnce(recs []*core.Record) ([]uint64, error) {
-	if c.session != nil {
-		return c.session.Append(recs)
-	}
-	return c.pickMaintainer().Append(recs)
-}
-
 // AppendAfter inserts records constrained to positions after minLId at the
 // given maintainer index (§5.4's cross-maintainer explicit ordering).
 func (c *Client) AppendAfter(maintainer int, minLId uint64, recs []*core.Record) ([]uint64, error) {
@@ -388,23 +361,20 @@ func (c *Client) AppendAfter(maintainer int, minLId uint64, recs []*core.Record)
 // Head returns the head of the log as known by one maintainer — every
 // position at or below it is gap-free and readable.
 func (c *Client) Head() (uint64, error) {
-	if c.session != nil {
-		// Ask any usable member; gossip keeps their estimates close.
-		for i := range c.maintainers {
-			if !c.session.Health().Usable(i) {
-				continue
-			}
-			h, err := c.maintainers[i].Head()
-			if err == nil {
-				return h, nil
-			}
-			if isLogicError(err) {
-				return 0, err
-			}
+	// Ask any usable member; gossip keeps their estimates close.
+	for i := range c.maintainers {
+		if !c.session.Health().Usable(i) {
+			continue
 		}
-		return 0, replica.ErrNoUsableGroup
+		h, err := c.maintainers[i].Head()
+		if err == nil {
+			return h, nil
+		}
+		if isLogicError(err) {
+			return 0, err
+		}
 	}
-	return c.pickMaintainer().Head()
+	return 0, replica.ErrNoUsableGroup
 }
 
 // HeadExact polls every range's next-unfilled position and computes the
@@ -413,20 +383,9 @@ func (c *Client) Head() (uint64, error) {
 // keeps advancing while a maintainer is down. Get-transactions use this to
 // pin their snapshot (Algorithm 1 line 2).
 func (c *Client) HeadExact() (uint64, error) {
-	if c.session != nil {
-		next, err := c.session.Frontiers()
-		if err != nil {
-			return 0, err
-		}
-		return Head(next), nil
-	}
-	next := make([]uint64, len(c.maintainers))
-	for i, m := range c.maintainers {
-		n, err := m.NextUnfilled()
-		if err != nil {
-			return 0, err
-		}
-		next[i] = n
+	next, err := c.session.Frontiers()
+	if err != nil {
+		return 0, err
 	}
 	return Head(next), nil
 }
@@ -472,20 +431,15 @@ func (c *Client) ReadLId(lid uint64) (*core.Record, error) {
 // ReadLIdCtx is ReadLId with cancellation: ctx aborts the past-head retry
 // loop between attempts, returning ctx.Err().
 func (c *Client) ReadLIdCtx(ctx context.Context, lid uint64) (*core.Record, error) {
-	var read func() (*core.Record, error)
-	if c.session != nil {
-		ei, err := epochIndexOf(c.epochs, lid)
-		if err != nil {
-			return nil, err
-		}
-		// Failover routing knows only the latest epoch's groups; records
-		// written under an earlier epoch route directly to that epoch's
-		// members via the journal.
-		if ei == len(c.epochs)-1 {
-			read = func() (*core.Record, error) { return c.session.Read(lid) }
-		}
+	ei, err := epochIndexOf(c.epochs, lid)
+	if err != nil {
+		return nil, err
 	}
-	if read == nil {
+	// Failover routing knows only the latest epoch's groups; records
+	// written under an earlier epoch route directly to that epoch's
+	// members via the journal.
+	read := func() (*core.Record, error) { return c.session.Read(lid) }
+	if ei < len(c.epochs)-1 {
 		m, err := c.ownerOf(lid)
 		if err != nil {
 			return nil, err
@@ -499,9 +453,9 @@ func (c *Client) ReadLIdCtx(ctx context.Context, lid uint64) (*core.Record, erro
 	// unresolved invalidation (every group member knows the position is
 	// assigned but none has the payload yet — e.g. mid-failover) retry on
 	// the same schedule, stretched to the server's pacing hint.
-	bo := rpc.Backoff{Base: c.RetryBackoff, Max: 8 * c.RetryBackoff, Factor: 2, Jitter: 0.2}
+	bo := rpc.Backoff{Base: c.retryBackoff, Max: 8 * c.retryBackoff, Factor: 2, Jitter: 0.2}
 	var lastErr error
-	for attempt := 0; attempt <= c.ReadRetries; attempt++ {
+	for attempt := 0; attempt <= c.readRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -513,7 +467,7 @@ func (c *Client) ReadLIdCtx(ctx context.Context, lid uint64) (*core.Record, erro
 		if !errors.Is(err, core.ErrPastHead) && !errors.Is(err, ErrReadBlocked) {
 			return nil, err
 		}
-		if c.RetryBackoff > 0 {
+		if c.retryBackoff > 0 {
 			d := bo.Delay(attempt+1, jitterRnd)
 			if hint := RetryAfter(err); hint > d {
 				d = hint
@@ -600,12 +554,12 @@ func (c *Client) scanMerged(rule core.Rule) ([]*core.Record, error) {
 	answered := 0
 	var lastErr error
 	for i, m := range c.maintainers {
-		if c.session != nil && !c.session.Health().Usable(i) {
+		if !c.session.Health().Usable(i) {
 			continue
 		}
 		recs, err := m.Scan(rule)
 		if err != nil {
-			if c.session == nil || isLogicError(err) {
+			if isLogicError(err) {
 				return nil, err
 			}
 			c.session.Health().ReportFailure(i)
@@ -664,38 +618,35 @@ func (c *Client) readByScan(rule core.Rule) ([]*core.Record, error) {
 func (c *Client) Maintainers() []MaintainerAPI { return c.maintainers }
 
 // SetMaintainer replaces the handle at index i — the rewiring done after a
-// maintainer restarts on a fresh connection. The replica session (when
-// present) is updated in lockstep; the handle must expose the replica
-// surface if the session does.
+// maintainer restarts on a fresh connection. The replica session is
+// updated in lockstep. The client's handle slice is not synchronized, so
+// call it while no other call is in flight on the client.
 func (c *Client) SetMaintainer(i int, m MaintainerAPI) error {
 	if i < 0 || i >= len(c.maintainers) {
 		return fmt.Errorf("flstore: maintainer %d out of range", i)
 	}
-	if c.session != nil {
-		rm, ok := m.(replica.Member)
-		if !ok {
-			return fmt.Errorf("flstore: maintainer %d does not support replication", i)
-		}
-		c.session.SetMember(i, rm)
+	if m == nil {
+		return fmt.Errorf("flstore: maintainer %d handle is nil", i)
 	}
+	c.session.SetMember(i, m)
 	c.maintainers[i] = m
-	c.updateRangeCapable()
 	return nil
 }
 
 // Tail streams the log in LId order starting at fromLId (≥1): fn is
 // called for every record at or below the advancing head of the log, in
 // position order with no gaps, until ctx is cancelled or fn returns
-// false. On range-capable wiring this is a push subscription: the client
-// parks on the laggard range's TailWait long-poll and drains each newly
-// covered window with scatter-gather range reads merged by placement — no
-// poll tick, no rescans, no sort. Legacy wiring degrades to a bounded
-// poll (interval RetryBackoff, ≥1ms).
+// false. Under a single placement epoch this is a push subscription: the
+// client parks on the laggard range's TailWait long-poll and drains each
+// newly covered window with scatter-gather range reads merged by
+// placement — no poll tick, no rescans, no sort. A multi-epoch history
+// (whose scatter-gather merge would need more than one placement's math)
+// tails by a bounded poll (interval WithRetryBackoff, ≥1ms).
 func (c *Client) Tail(ctx context.Context, fromLId uint64, fn func(*core.Record) bool) error {
 	if fromLId == 0 {
 		fromLId = 1
 	}
-	if !c.rangeOK() {
+	if c.multiEpoch() {
 		return c.tailPoll(ctx, fromLId, fn)
 	}
 	cursor := fromLId
@@ -726,12 +677,12 @@ func (c *Client) Tail(ctx context.Context, fromLId uint64, fn func(*core.Record)
 	}
 }
 
-// tailPoll is the legacy tail loop for wiring without the batched read
-// surface. The window is merged by placement (position lid at index
-// lid−cursor) rather than sorted; §5.4 makes it gap-free below the head,
-// and any straggler a scan missed is fetched via ReadLId.
+// tailPoll is the multi-epoch tail loop. The window is merged by placement
+// (position lid at index lid−cursor) rather than sorted; §5.4 makes it
+// gap-free below the head, and any straggler a scan missed is fetched via
+// ReadLId.
 func (c *Client) tailPoll(ctx context.Context, fromLId uint64, fn func(*core.Record) bool) error {
-	poll := c.RetryBackoff
+	poll := c.retryBackoff
 	if poll < time.Millisecond {
 		poll = time.Millisecond
 	}

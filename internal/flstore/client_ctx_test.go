@@ -23,7 +23,7 @@ func newCtxTestClient(t *testing.T, opts ...flstore.ClientOption) *flstore.Clien
 		}
 		apis[i] = m
 	}
-	c, err := flstore.NewDirectClientWith(p, apis, nil, opts...)
+	c, err := flstore.NewDirectClient(p, apis, nil, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,19 +107,13 @@ func TestAppendBatchCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestOptionDefaultsMatchLegacyFields pins the construction-time options to
-// the documented legacy defaults so NewClientWith with no options behaves
-// exactly like NewClient plus field mutation never happening.
+// TestOptionDefaultsMatchLegacyFields pins the read-retry defaults to the
+// values the client has always documented (50 retries seeded at 2ms), and
+// checks that construction-time options replace them.
 func TestOptionDefaultsMatchLegacyFields(t *testing.T) {
 	c := newCtxTestClient(t)
-	if c.ReadRetries != 50 {
-		t.Errorf("default ReadRetries = %d, want 50", c.ReadRetries)
-	}
-	if c.RetryBackoff != 2*time.Millisecond {
-		t.Errorf("default RetryBackoff = %v, want 2ms", c.RetryBackoff)
-	}
-	if c.DisableRangeRead {
-		t.Error("default DisableRangeRead = true, want false")
+	if n, d := flstore.ReadRetryConfig(c); n != 50 || d != 2*time.Millisecond {
+		t.Errorf("default read retries = %d at %v, want 50 at 2ms", n, d)
 	}
 	if c.PaceRate() != 0 {
 		t.Errorf("default PaceRate = %v, want 0 (pacing off)", c.PaceRate())
@@ -128,10 +122,8 @@ func TestOptionDefaultsMatchLegacyFields(t *testing.T) {
 	opt := newCtxTestClient(t,
 		flstore.WithReadRetries(7),
 		flstore.WithRetryBackoff(9*time.Millisecond),
-		flstore.WithRangeReadDisabled(true),
 	)
-	if opt.ReadRetries != 7 || opt.RetryBackoff != 9*time.Millisecond || !opt.DisableRangeRead {
-		t.Errorf("options not applied: retries=%d backoff=%v disable=%v",
-			opt.ReadRetries, opt.RetryBackoff, opt.DisableRangeRead)
+	if n, d := flstore.ReadRetryConfig(opt); n != 7 || d != 9*time.Millisecond {
+		t.Errorf("options not applied: retries=%d backoff=%v", n, d)
 	}
 }

@@ -2,13 +2,11 @@ package flstore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/replica"
 	"repro/internal/trace"
 )
 
@@ -21,30 +19,10 @@ const tailChunk = 4096
 // re-routing are observed promptly; a parked reader simply re-parks.
 const clientTailWait = 25 * time.Millisecond
 
-// errNoRangeRead reports a maintainer handle that doesn't implement
-// RangeReadAPI despite the capability check — only possible after a
-// mid-flight SetMaintainer swap to a legacy handle.
-var errNoRangeRead = errors.New("flstore: maintainer does not support range reads")
-
-// rangeOK reports whether the batched read path is usable for this call:
-// every wired maintainer exposes RangeReadAPI, the caller didn't force the
-// legacy path, and the log has a single placement epoch (the scatter-gather
-// merge routes by one placement's math; elastic histories fall back).
-func (c *Client) rangeOK() bool {
-	return c.rangeCapable && !c.DisableRangeRead && len(c.epochs) <= 1
-}
-
-// updateRangeCapable recomputes whether every maintainer handle implements
-// the batched read surface. Called at session init and on SetMaintainer.
-func (c *Client) updateRangeCapable() {
-	for _, m := range c.maintainers {
-		if _, ok := m.(RangeReadAPI); !ok {
-			c.rangeCapable = false
-			return
-		}
-	}
-	c.rangeCapable = len(c.maintainers) > 0
-}
+// multiEpoch reports whether the log spans more than one placement epoch.
+// The scatter-gather merge routes by one placement's math, so elastic
+// histories read through merged scans and tail by polling instead.
+func (c *Client) multiEpoch() bool { return len(c.epochs) > 1 }
 
 // ReadRange returns the records at positions [lo, hi] in LId order, with hi
 // clamped to the head of the log (hi 0 means "up to the head"). One
@@ -92,7 +70,7 @@ func (c *Client) ReadRangeCtx(ctx context.Context, lo, hi uint64) ([]*core.Recor
 // of the log.
 func (c *Client) readRange(ctx context.Context, tc trace.Ctx, lo, hi uint64) ([]*core.Record, error) {
 	out := make([]*core.Record, hi-lo+1)
-	if c.rangeOK() {
+	if !c.multiEpoch() {
 		owners := c.ownersIn(lo, hi)
 		if len(owners) == 1 {
 			// Single-owner windows (small ranges, per-partition readers)
@@ -127,7 +105,7 @@ func (c *Client) readRange(ctx context.Context, tc trace.Ctx, lo, hi uint64) ([]
 		return nil, err
 	}
 	// Safety net: any position still missing (a lagging follower answered
-	// for an evicted owner, or a legacy scan raced the head) is fetched
+	// for an evicted owner, or a multi-epoch scan raced the head) is fetched
 	// through the single-record path with its own failover and past-head
 	// waiting. Positions ≤ head exist somewhere, so this terminates.
 	for i, r := range out {
@@ -188,28 +166,13 @@ func (c *Client) rangeFromOwner(ctx context.Context, tc trace.Ctx, owner int, lo
 		}
 		q := RangeQuery{Lo: cursor, Hi: hi, Range: owner, Trace: tc}
 		var res RangeResult
-		if c.session != nil {
-			err := c.session.ReadWith(owner, func(mem replica.Member) error {
-				rr, ok := mem.(RangeReadAPI)
-				if !ok {
-					return errNoRangeRead
-				}
-				var e error
-				res, e = rr.ReadRange(q)
-				return e
-			})
-			if err != nil {
-				return err
-			}
-		} else {
-			rr, ok := c.maintainers[owner].(RangeReadAPI)
-			if !ok {
-				return errNoRangeRead
-			}
-			var err error
-			if res, err = rr.ReadRange(q); err != nil {
-				return err
-			}
+		err := c.session.ReadWith(owner, func(mi int) error {
+			var e error
+			res, e = c.maintainers[mi].ReadRange(q)
+			return e
+		})
+		if err != nil {
+			return err
 		}
 		for _, r := range res.Records {
 			if r.LId >= lo && r.LId <= hi {
@@ -247,12 +210,12 @@ func (c *Client) ReadRangeOwned(owner int, lo, hi uint64) ([]*core.Record, error
 		return nil, nil
 	}
 	window := make([]*core.Record, hi-lo+1)
-	if c.rangeOK() {
+	if !c.multiEpoch() {
 		if err := c.rangeFromOwner(context.Background(), trace.Ctx{}, owner, lo, hi, window); err != nil {
 			return nil, err
 		}
 	} else {
-		// Legacy wiring: one partition scan at the owner's handle.
+		// Multi-epoch history: one partition scan at the owner's handle.
 		recs, err := c.maintainers[owner].Scan(core.Rule{MinLId: lo, MaxLId: hi})
 		if err != nil {
 			return nil, err
@@ -292,8 +255,8 @@ func (c *Client) ReadRangeOwned(owner int, lo, hi uint64) ([]*core.Record, error
 	return out, nil
 }
 
-// readRangeScan is the legacy fallback for readRange: a merged scan across
-// maintainers, placed into out by position.
+// readRangeScan is readRange for multi-epoch histories: a merged scan
+// across maintainers, placed into out by position.
 func (c *Client) readRangeScan(lo, hi uint64, out []*core.Record) error {
 	recs, err := c.scanMerged(core.Rule{MinLId: lo, MaxLId: hi})
 	if err != nil {
@@ -324,7 +287,7 @@ func (c *Client) ReadLIdsCtx(ctx context.Context, lids []uint64) ([]*core.Record
 		return nil, err
 	}
 	out := make([]*core.Record, len(lids))
-	if c.rangeOK() && len(lids) > 1 {
+	if !c.multiEpoch() && len(lids) > 1 {
 		byOwner := make(map[int][]uint64)
 		for _, lid := range lids {
 			if lid != 0 {
@@ -370,73 +333,33 @@ func (c *Client) ReadLIdsCtx(ctx context.Context, lids []uint64) ([]*core.Record
 // multiReadOwner issues one MultiRead against owner's group with read
 // failover.
 func (c *Client) multiReadOwner(owner int, lids []uint64) ([]*core.Record, error) {
-	if c.session != nil {
-		var recs []*core.Record
-		err := c.session.ReadWith(owner, func(mem replica.Member) error {
-			rr, ok := mem.(RangeReadAPI)
-			if !ok {
-				return errNoRangeRead
-			}
-			var e error
-			recs, e = rr.MultiRead(lids)
-			return e
-		})
-		return recs, err
-	}
-	rr, ok := c.maintainers[owner].(RangeReadAPI)
-	if !ok {
-		return nil, errNoRangeRead
-	}
-	return rr.MultiRead(lids)
-}
-
-// frontiersVec returns every range's next-unfilled position (group-wide
-// maximum under replication) — the vector Head() folds.
-func (c *Client) frontiersVec() ([]uint64, error) {
-	if c.session != nil {
-		return c.session.Frontiers()
-	}
-	next := make([]uint64, len(c.maintainers))
-	for i, m := range c.maintainers {
-		n, err := m.NextUnfilled()
-		if err != nil {
-			return nil, err
-		}
-		next[i] = n
-	}
-	return next, nil
+	var recs []*core.Record
+	err := c.session.ReadWith(owner, func(mi int) error {
+		var e error
+		recs, e = c.maintainers[mi].MultiRead(lids)
+		return e
+	})
+	return recs, err
 }
 
 // tailWaitRange parks at rangeIdx's group until the range's local frontier
 // passes cursor or maxWait elapses, with read failover across the group.
 func (c *Client) tailWaitRange(rangeIdx int, cursor uint64, maxWait time.Duration) error {
-	if c.session != nil {
-		return c.session.ReadWith(rangeIdx, func(mem replica.Member) error {
-			rr, ok := mem.(RangeReadAPI)
-			if !ok {
-				return errNoRangeRead
-			}
-			_, err := rr.TailWait(rangeIdx, cursor, maxWait)
-			return err
-		})
-	}
-	rr, ok := c.maintainers[rangeIdx].(RangeReadAPI)
-	if !ok {
-		return errNoRangeRead
-	}
-	_, err := rr.TailWait(rangeIdx, cursor, maxWait)
-	return err
+	return c.session.ReadWith(rangeIdx, func(mi int) error {
+		_, err := c.maintainers[mi].TailWait(rangeIdx, cursor, maxWait)
+		return err
+	})
 }
 
 // waitHead blocks until the head of the log reaches cursor, ctx is
 // cancelled, or deadline passes (zero deadline = unbounded), and returns
 // the last head observed. The head advances exactly when the laggard
 // range's frontier does, so each round parks on that range's TailWait
-// long-poll instead of sleeping a fixed tick; legacy wiring without the
-// batched read surface degrades to a bounded sleep poll.
+// long-poll instead of sleeping a fixed tick; a multi-epoch history
+// degrades to a bounded sleep poll.
 func (c *Client) waitHead(ctx context.Context, cursor uint64, deadline time.Time) (uint64, error) {
 	for {
-		next, err := c.frontiersVec()
+		next, err := c.session.Frontiers()
 		if err != nil {
 			return 0, err
 		}
@@ -459,7 +382,7 @@ func (c *Client) waitHead(ctx context.Context, cursor uint64, deadline time.Time
 				wait = remain
 			}
 		}
-		if c.rangeOK() {
+		if !c.multiEpoch() {
 			// Park at the first range whose frontier hasn't passed the
 			// cursor; when it has, the loop recomputes the head (other
 			// ranges kept advancing concurrently).
@@ -475,7 +398,7 @@ func (c *Client) waitHead(ctx context.Context, cursor uint64, deadline time.Time
 			}
 			continue
 		}
-		poll := c.RetryBackoff
+		poll := c.retryBackoff
 		if poll <= 0 {
 			poll = time.Millisecond
 		}

@@ -43,6 +43,24 @@ func TestDirectClientValidation(t *testing.T) {
 	if _, err := NewDirectClient(p, make([]MaintainerAPI, 1), nil); err == nil {
 		t.Error("maintainer count mismatch accepted")
 	}
+	m0, err := NewMaintainer(MaintainerConfig{Index: 0, Placement: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDirectClient(p, []MaintainerAPI{m0, nil}, nil); err == nil {
+		t.Error("nil maintainer handle accepted")
+	}
+	m1, err := NewMaintainer(MaintainerConfig{Index: 1, Placement: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewDirectClient(p, []MaintainerAPI{m0, m1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetMaintainer(1, nil); err == nil {
+		t.Error("SetMaintainer accepted a nil handle")
+	}
 }
 
 func TestClientAppendBatchPreservesOrder(t *testing.T) {

@@ -93,37 +93,6 @@ func (c *Controller) AnnounceEpochTopology(firstLId uint64, p Placement, addrs [
 	return nil
 }
 
-// AnnounceEpoch appends a future-reassignment epoch without topology.
-//
-// Deprecated: use AnnounceEpochTopology (or Admin.ProposeEpoch over RPC),
-// which carries the new epoch's maintainer endpoints in the journal so
-// clients can route reads and writes per epoch.
-func (c *Controller) AnnounceEpoch(firstLId uint64, p Placement) error {
-	return c.AnnounceEpochTopology(firstLId, p, nil)
-}
-
-// SetMaintainerAddrs replaces the advertised maintainer endpoints.
-//
-// Deprecated: topology changes should ride the epoch journal — use
-// AnnounceEpochTopology (or Admin.ProposeEpoch over RPC) so old epochs
-// keep their serving addresses. This mutator only makes sense before the
-// deployment serves traffic.
-func (c *Controller) SetMaintainerAddrs(addrs []string) {
-	c.mu.Lock()
-	c.cfg.MaintainerAddrs = append([]string(nil), addrs...)
-	c.mu.Unlock()
-}
-
-// SetIndexerAddrs replaces the advertised indexer endpoints.
-//
-// Deprecated: like SetMaintainerAddrs this mutates topology out-of-band;
-// prefer wiring indexers at construction. Retained for pre-serving setup.
-func (c *Controller) SetIndexerAddrs(addrs []string) {
-	c.mu.Lock()
-	c.cfg.IndexerAddrs = append([]string(nil), addrs...)
-	c.mu.Unlock()
-}
-
 // PlacementAt returns the placement in force at the given LId according to
 // an epoch journal. Readers use this to locate records written before a
 // reassignment (the paper's "epoch journal" alternative to migrating old

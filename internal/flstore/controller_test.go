@@ -41,10 +41,10 @@ func TestControllerAnnounceEpoch(t *testing.T) {
 	p1 := Placement{NumMaintainers: 2, BatchSize: 100}
 	p2 := Placement{NumMaintainers: 4, BatchSize: 100}
 	c, _ := NewController(Config{Placement: p1})
-	if err := c.AnnounceEpoch(10001, p2); err != nil {
+	if err := c.AnnounceEpochTopology(10001, p2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AnnounceEpoch(5000, p1); err == nil {
+	if err := c.AnnounceEpochTopology(5000, p1, nil); err == nil {
 		t.Error("backdated epoch accepted")
 	}
 	cfg, _ := c.GetConfig()
@@ -81,9 +81,16 @@ func TestPlacementAt(t *testing.T) {
 }
 
 func TestControllerAddrUpdates(t *testing.T) {
-	c, _ := NewController(Config{Placement: Placement{NumMaintainers: 1, BatchSize: 1}})
-	c.SetMaintainerAddrs([]string{"a:1", "b:2"})
-	c.SetIndexerAddrs([]string{"c:3"})
+	c, _ := NewController(Config{
+		Placement:       Placement{NumMaintainers: 1, BatchSize: 1},
+		MaintainerAddrs: []string{"old:0"},
+		IndexerAddrs:    []string{"c:3"},
+	})
+	// Topology changes ride the epoch journal: announcing an epoch with
+	// endpoints moves the advertised maintainer list to the new set.
+	if err := c.AnnounceEpochTopology(100, Placement{NumMaintainers: 2, BatchSize: 1}, []string{"a:1", "b:2"}); err != nil {
+		t.Fatal(err)
+	}
 	cfg, _ := c.GetConfig()
 	if len(cfg.MaintainerAddrs) != 2 || cfg.MaintainerAddrs[1] != "b:2" {
 		t.Errorf("maintainer addrs = %v", cfg.MaintainerAddrs)

@@ -14,7 +14,7 @@ import (
 
 // buildTCPDeployment stands up a full FLStore deployment over loopback
 // TCP: n maintainers, k indexers, a controller, with gossip running.
-func buildTCPDeployment(t *testing.T, n, k int, batch uint64) (*Client, []*Maintainer, []*Gossiper) {
+func buildTCPDeployment(t *testing.T, n, k int, batch uint64, opts ...ClientOption) (*Client, []*Maintainer, []*Gossiper) {
 	t.Helper()
 	p := Placement{NumMaintainers: n, BatchSize: batch}
 
@@ -101,7 +101,7 @@ func buildTCPDeployment(t *testing.T, n, k int, batch uint64) (*Client, []*Maint
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ctrlConn.Close() })
-	client, err := NewClient(NewControllerClient(ctrlConn))
+	client, err := NewClient(NewControllerClient(ctrlConn), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func buildTCPDeployment(t *testing.T, n, k int, batch uint64) (*Client, []*Maint
 }
 
 func TestIntegrationAppendReadOverTCP(t *testing.T) {
-	client, _, _ := buildTCPDeployment(t, 3, 2, 4)
+	client, _, _ := buildTCPDeployment(t, 3, 2, 4, WithReadRetries(2), WithRetryBackoff(time.Millisecond))
 
 	var lids []uint64
 	for i := 0; i < 30; i++ {
@@ -138,8 +138,6 @@ func TestIntegrationAppendReadOverTCP(t *testing.T) {
 	if head == 0 {
 		t.Fatal("head did not advance")
 	}
-	client.ReadRetries = 2
-	client.RetryBackoff = time.Millisecond
 	readable := 0
 	for i, lid := range lids {
 		if lid > head {
@@ -242,9 +240,7 @@ func TestIntegrationScanRead(t *testing.T) {
 }
 
 func TestIntegrationReadPastHeadRetriesThenFails(t *testing.T) {
-	client, _, _ := buildTCPDeployment(t, 2, 0, 5)
-	client.ReadRetries = 2
-	client.RetryBackoff = time.Millisecond
+	client, _, _ := buildTCPDeployment(t, 2, 0, 5, WithReadRetries(2), WithRetryBackoff(time.Millisecond))
 	// Only maintainer 0 has records; LId 6 (owned by maintainer 1)
 	// doesn't exist and the head can't pass it.
 	client.Maintainers()[0].Append([]*core.Record{{Body: []byte("x")}})

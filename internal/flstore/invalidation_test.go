@@ -102,15 +102,15 @@ func TestSlotsBelow(t *testing.T) {
 		want     uint64
 	}{
 		{0, 0, 0}, {0, 1, 0}, // empty bounds
-		{0, 2, 1},            // mid-chunk
-		{0, 3, 2},            // exact chunk end
-		{0, 5, 2},            // bound inside another range's chunk
-		{0, 7, 2},            // up to the next round's first own position
-		{0, 8, 3},            // into the next round
-		{0, 9, 4},            // exact end of round-1 chunk
-		{1, 3, 0},            // before this range's first chunk
-		{1, 5, 2},            // exact own chunk end
-		{2, 13, 4},           // two full rounds for the last range
+		{0, 2, 1},  // mid-chunk
+		{0, 3, 2},  // exact chunk end
+		{0, 5, 2},  // bound inside another range's chunk
+		{0, 7, 2},  // up to the next round's first own position
+		{0, 8, 3},  // into the next round
+		{0, 9, 4},  // exact end of round-1 chunk
+		{1, 3, 0},  // before this range's first chunk
+		{1, 5, 2},  // exact own chunk end
+		{2, 13, 4}, // two full rounds for the last range
 	}
 	for _, c := range cases {
 		if got := m.slotsBelow(c.rangeIdx, c.bound); got != c.want {
@@ -176,20 +176,11 @@ func TestReadBlockedOverRPC(t *testing.T) {
 		t.Errorf("remote RetryAfter = %v, want %v", RetryAfter(err), readBlockHint)
 	}
 	// Remote invalidation surface: the client wrapper reaches Invalidate
-	// and ValidityWatermark through the fast-path envelope. The session
-	// discovers the capability exactly this way — by type assertion.
-	inv, ok := mc.(replica.Invalidator)
-	if !ok {
-		t.Fatal("maintainer client does not implement replica.Invalidator")
-	}
-	if err := inv.Invalidate(0, 3); err != nil {
+	// and ValidityWatermark through the fast-path envelope.
+	if err := mc.Invalidate(0, 3); err != nil {
 		t.Fatal(err)
 	}
-	wr, ok := mc.(replica.WatermarkReporter)
-	if !ok {
-		t.Fatal("maintainer client does not implement replica.WatermarkReporter")
-	}
-	wm, ann, err := wr.ValidityWatermark(0)
+	wm, ann, err := mc.ValidityWatermark(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -309,9 +309,8 @@ func NewMaintainer(cfg MaintainerConfig) (*Maintainer, error) {
 		hosted:  make(map[int]*rangeState, cfg.Replication),
 		nextVec: make([]uint64, cfg.Placement.NumMaintainers),
 		durVec:  make([]uint64, cfg.Placement.NumMaintainers),
-	}
-	if d, ok := cfg.Store.(interface{ Durable() bool }); ok {
-		m.storeDurable = d.Durable()
+
+		storeDurable: cfg.Store.Durable(),
 	}
 	if cfg.TailCacheSize > 0 {
 		m.tail = newTailRing(cfg.TailCacheSize)

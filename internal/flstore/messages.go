@@ -1,7 +1,6 @@
 package flstore
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -18,34 +17,36 @@ import (
 	"repro/internal/wire"
 )
 
-// Message types of the FLStore wire protocol.
+// Message types of the FLStore wire protocol. The numbers are the wire
+// format: each is pinned explicitly so removing or reordering a message
+// can never shift another's type.
 const (
-	msgAppend uint8 = iota + 1
-	msgAppendAssigned
-	msgAppendAfter
-	msgRead
-	msgScan
-	msgHead
-	msgNextUnfilled
-	msgGossip
-	msgPost
-	msgLookup
-	msgGetConfig
-	msgStats
-	msgAppendFor
-	msgReplicaAppend
-	msgRangeFrontier
-	msgPullRange
-	msgGossipVec
-	msgReplicas
-	msgReadRange
-	msgMultiRead
-	msgTailWait
-	msgInvalidate
-	msgWatermark
-	msgGossipVecs
-	msgAdminEpochs
-	msgAdminPropose
+	msgAppend         uint8 = 1
+	msgAppendAssigned uint8 = 2
+	msgAppendAfter    uint8 = 3
+	msgRead           uint8 = 4
+	msgScan           uint8 = 5
+	msgHead           uint8 = 6
+	msgNextUnfilled   uint8 = 7
+	msgGossip         uint8 = 8
+	msgPost           uint8 = 9
+	msgLookup         uint8 = 10
+	msgGetConfig      uint8 = 11
+	msgStats          uint8 = 12
+	msgAppendFor      uint8 = 13
+	msgReplicaAppend  uint8 = 14
+	msgRangeFrontier  uint8 = 15
+	msgPullRange      uint8 = 16
+	msgGossipVec      uint8 = 17
+	msgReplicas       uint8 = 18
+	msgReadRange      uint8 = 19
+	msgMultiRead      uint8 = 20
+	msgTailWait       uint8 = 21
+	msgInvalidate     uint8 = 22
+	msgWatermark      uint8 = 23
+	msgGossipVecs     uint8 = 24
+	msgAdminEpochs    uint8 = 25
+	msgAdminPropose   uint8 = 26
 )
 
 // --- encoding helpers ---
@@ -302,50 +303,23 @@ func decodeConfig(buf []byte) (*Config, error) {
 
 // --- server adapters ---
 
-// ServeMaintainer registers RPC handlers exposing m on srv.
+// ServeMaintainer registers RPC handlers exposing every maintainer
+// message of m on srv.
 func ServeMaintainer(srv *rpc.Server, m MaintainerAPI) {
-	// The append handlers decode with DecodeRecordsShared: the request
-	// payload is borrowed (it aliases the connection's read scratch), and
-	// the arena decode materializes retainable records in O(1) allocations
-	// per batch. They register traced: the RPC envelope's trace context is
-	// restamped onto the decoded records (the codec doesn't carry it), so
-	// the maintainer's hops join the caller's trace; untraced requests
-	// reach the same handlers with the zero context.
-	srv.HandleTraced(msgAppend, func(tc *trace.Ctx, p []byte) ([]byte, error) {
-		recs, _, err := core.DecodeRecordsShared(p)
-		if err != nil {
-			return nil, err
-		}
-		stampRecords(recs, tc)
-		lids, err := m.Append(recs)
-		if err != nil {
-			return nil, err
-		}
-		return appendLIds(nil, lids), nil
+	handleRecords(srv, msgAppend, 0, "Append", func(_ []byte, recs []*core.Record) ([]byte, error) {
+		return lidsResponse(m.Append(recs))
 	})
-	srv.HandleTraced(msgAppendAssigned, func(tc *trace.Ctx, p []byte) ([]byte, error) {
-		recs, _, err := core.DecodeRecordsShared(p)
-		if err != nil {
-			return nil, err
-		}
-		stampRecords(recs, tc)
+	handleRecords(srv, msgAppendAssigned, 0, "AppendAssigned", func(_ []byte, recs []*core.Record) ([]byte, error) {
 		return nil, m.AppendAssigned(recs)
 	})
-	srv.HandleTraced(msgAppendAfter, func(tc *trace.Ctx, p []byte) ([]byte, error) {
-		if len(p) < 8 {
-			return nil, errors.New("flstore: short AppendAfter request")
-		}
-		minLId := binary.LittleEndian.Uint64(p)
-		recs, _, err := core.DecodeRecordsShared(p[8:])
-		if err != nil {
-			return nil, err
-		}
-		stampRecords(recs, tc)
-		lids, err := m.AppendAfter(minLId, recs)
-		if err != nil {
-			return nil, err
-		}
-		return appendLIds(nil, lids), nil
+	handleRecords(srv, msgAppendAfter, 8, "AppendAfter", func(h []byte, recs []*core.Record) ([]byte, error) {
+		return lidsResponse(m.AppendAfter(binary.LittleEndian.Uint64(h), recs))
+	})
+	handleRecords(srv, msgAppendFor, 4, "AppendFor", func(h []byte, recs []*core.Record) ([]byte, error) {
+		return lidsResponse(m.AppendFor(int(binary.LittleEndian.Uint32(h)), recs))
+	})
+	handleRecords(srv, msgReplicaAppend, 0, "ReplicaAppend", func(_ []byte, recs []*core.Record) ([]byte, error) {
+		return nil, m.ReplicaAppend(recs)
 	})
 	srv.Handle(msgRead, func(p []byte) ([]byte, error) {
 		if len(p) < 8 {
@@ -362,78 +336,76 @@ func ServeMaintainer(srv *rpc.Server, m MaintainerAPI) {
 		if err != nil {
 			return nil, err
 		}
-		recs, err := m.Scan(ru)
-		if err != nil {
-			return nil, err
-		}
-		return core.AppendRecords(make([]byte, 0, core.EncodedSizeRecords(recs)), recs), nil
+		return recordsResponse(m.Scan(ru))
 	})
 	srv.Handle(msgHead, func(p []byte) ([]byte, error) {
-		h, err := m.Head()
-		if err != nil {
-			return nil, err
-		}
-		return binary.LittleEndian.AppendUint64(nil, h), nil
+		return u64Response(m.Head())
 	})
 	srv.Handle(msgNextUnfilled, func(p []byte) ([]byte, error) {
-		n, err := m.NextUnfilled()
-		if err != nil {
-			return nil, err
-		}
-		return binary.LittleEndian.AppendUint64(nil, n), nil
+		return u64Response(m.NextUnfilled())
 	})
 	srv.Handle(msgGossip, func(p []byte) ([]byte, error) {
 		if len(p) < 12 {
 			return nil, errors.New("flstore: short Gossip request")
 		}
-		from := int(binary.LittleEndian.Uint32(p))
-		next := binary.LittleEndian.Uint64(p[4:])
-		mine, err := m.Gossip(from, next)
+		return u64Response(m.Gossip(int(binary.LittleEndian.Uint32(p)), binary.LittleEndian.Uint64(p[4:])))
+	})
+	srv.Handle(msgRangeFrontier, func(p []byte) ([]byte, error) {
+		if len(p) < 4 {
+			return nil, errors.New("flstore: short RangeFrontier request")
+		}
+		return u64Response(m.RangeFrontier(int(binary.LittleEndian.Uint32(p))))
+	})
+	srv.Handle(msgPullRange, func(p []byte) ([]byte, error) {
+		if len(p) < 16 {
+			return nil, errors.New("flstore: short PullRange request")
+		}
+		rangeIdx := int(binary.LittleEndian.Uint32(p))
+		from := binary.LittleEndian.Uint64(p[4:])
+		limit := int(binary.LittleEndian.Uint32(p[12:]))
+		return recordsResponse(m.PullRange(rangeIdx, from, limit))
+	})
+	srv.Handle(msgGossipVec, func(p []byte) ([]byte, error) {
+		vec, _, err := decodeLIds(p)
 		if err != nil {
 			return nil, err
 		}
-		return binary.LittleEndian.AppendUint64(nil, mine), nil
+		return lidsResponse(m.GossipVec(vec))
 	})
-	if r, ok := m.(ReplicaAPI); ok {
-		serveReplicaOps(srv, r)
-	}
-	if rr, ok := m.(RangeReadAPI); ok {
-		serveRangeReadOps(srv, rr)
-	}
-	if iv, ok := m.(InvalidationAPI); ok {
-		serveInvalidationOps(srv, iv)
-	}
-}
-
-// serveInvalidationOps registers the Hermes-style invalidation handlers
-// for maintainers that implement InvalidationAPI. msgInvalidate is the
-// fast-path control frame riding ahead of every fan-out payload: two
-// fixed words, no response body, decoded in place.
-func serveInvalidationOps(srv *rpc.Server, iv InvalidationAPI) {
+	srv.Handle(msgGossipVecs, func(p []byte) ([]byte, error) {
+		next, n, err := decodeLIds(p)
+		if err != nil {
+			return nil, err
+		}
+		dur, _, err := decodeLIds(p[n:])
+		if err != nil {
+			return nil, err
+		}
+		myNext, myDur, err := m.GossipVecs(next, dur)
+		if err != nil {
+			return nil, err
+		}
+		return appendLIds(appendLIds(nil, myNext), myDur), nil
+	})
+	// msgInvalidate is the fast-path control frame riding ahead of every
+	// fan-out payload: two fixed words, no response body, decoded in place.
 	srv.Handle(msgInvalidate, func(p []byte) ([]byte, error) {
 		if len(p) < 16 {
 			return nil, errors.New("flstore: short Invalidate request")
 		}
-		return nil, iv.Invalidate(int(binary.LittleEndian.Uint64(p)), binary.LittleEndian.Uint64(p[8:]))
+		return nil, m.Invalidate(int(binary.LittleEndian.Uint64(p)), binary.LittleEndian.Uint64(p[8:]))
 	})
 	srv.Handle(msgWatermark, func(p []byte) ([]byte, error) {
 		if len(p) < 8 {
 			return nil, errors.New("flstore: short Watermark request")
 		}
-		wm, ann, err := iv.ValidityWatermark(int(binary.LittleEndian.Uint64(p)))
+		wm, ann, err := m.ValidityWatermark(int(binary.LittleEndian.Uint64(p)))
 		if err != nil {
 			return nil, err
 		}
 		resp := binary.LittleEndian.AppendUint64(make([]byte, 0, 16), wm)
 		return binary.LittleEndian.AppendUint64(resp, ann), nil
 	})
-}
-
-// serveRangeReadOps registers the batched read-path handlers for
-// maintainers that implement RangeReadAPI. msgTailWait is registered
-// detached: a parked long-poll must not head-of-line-block the pipelined
-// requests behind it on a shared connection.
-func serveRangeReadOps(srv *rpc.Server, rr RangeReadAPI) {
 	srv.HandleTraced(msgReadRange, func(tc *trace.Ctx, p []byte) ([]byte, error) {
 		if len(p) < 28 {
 			return nil, errors.New("flstore: short ReadRange request")
@@ -446,7 +418,7 @@ func serveRangeReadOps(srv *rpc.Server, rr RangeReadAPI) {
 			MaxBytes:   int(binary.LittleEndian.Uint32(p[24:])),
 			Trace:      *tc,
 		}
-		res, err := rr.ReadRange(q)
+		res, err := m.ReadRange(q)
 		if err != nil {
 			return nil, err
 		}
@@ -457,12 +429,11 @@ func serveRangeReadOps(srv *rpc.Server, rr RangeReadAPI) {
 		if err != nil {
 			return nil, err
 		}
-		recs, err := rr.MultiRead(lids)
-		if err != nil {
-			return nil, err
-		}
-		return core.AppendRecords(make([]byte, 0, core.EncodedSizeRecords(recs)), recs), nil
+		return recordsResponse(m.MultiRead(lids))
 	})
+	// msgTailWait is registered detached: a parked long-poll must not
+	// head-of-line-block the pipelined requests behind it on a shared
+	// connection.
 	srv.HandleDetached(msgTailWait, func(p []byte) ([]byte, error) {
 		if len(p) < 20 {
 			return nil, errors.New("flstore: short TailWait request")
@@ -470,92 +441,54 @@ func serveRangeReadOps(srv *rpc.Server, rr RangeReadAPI) {
 		rangeIdx := int(int32(binary.LittleEndian.Uint32(p)))
 		cursor := binary.LittleEndian.Uint64(p[4:])
 		maxWait := time.Duration(int64(binary.LittleEndian.Uint64(p[12:])))
-		f, err := rr.TailWait(rangeIdx, cursor, maxWait)
-		if err != nil {
-			return nil, err
-		}
-		return binary.LittleEndian.AppendUint64(nil, f), nil
+		return u64Response(m.TailWait(rangeIdx, cursor, maxWait))
 	})
 }
 
-// serveReplicaOps registers the replication handlers for maintainers that
-// implement ReplicaAPI.
-func serveReplicaOps(srv *rpc.Server, r ReplicaAPI) {
-	srv.HandleTraced(msgAppendFor, func(tc *trace.Ctx, p []byte) ([]byte, error) {
-		if len(p) < 4 {
-			return nil, errors.New("flstore: short AppendFor request")
+// handleRecords registers a traced handler for a request made of a
+// fixed-size header followed by a record batch; fn receives the header and
+// the records and returns the response payload. The batch decodes with
+// DecodeRecordsShared: the request payload is borrowed (it aliases the
+// connection's read scratch), and the arena decode materializes retainable
+// records in O(1) allocations per batch. The RPC envelope's trace context
+// is restamped onto the decoded records (the codec doesn't carry it), so
+// the maintainer's hops join the caller's trace; untraced requests reach
+// the same handler with the zero context.
+func handleRecords(srv *rpc.Server, msgType uint8, hdr int, name string, fn func(header []byte, recs []*core.Record) ([]byte, error)) {
+	srv.HandleTraced(msgType, func(tc *trace.Ctx, p []byte) ([]byte, error) {
+		if len(p) < hdr {
+			return nil, errors.New("flstore: short " + name + " request")
 		}
-		rangeIdx := int(binary.LittleEndian.Uint32(p))
-		recs, _, err := core.DecodeRecordsShared(p[4:])
+		recs, _, err := core.DecodeRecordsShared(p[hdr:])
 		if err != nil {
 			return nil, err
 		}
 		stampRecords(recs, tc)
-		lids, err := r.AppendFor(rangeIdx, recs)
-		if err != nil {
-			return nil, err
-		}
-		return appendLIds(nil, lids), nil
+		return fn(p[:hdr], recs)
 	})
-	srv.HandleTraced(msgReplicaAppend, func(tc *trace.Ctx, p []byte) ([]byte, error) {
-		recs, _, err := core.DecodeRecordsShared(p)
-		if err != nil {
-			return nil, err
-		}
-		stampRecords(recs, tc)
-		return nil, r.ReplicaAppend(recs)
-	})
-	srv.Handle(msgRangeFrontier, func(p []byte) ([]byte, error) {
-		if len(p) < 4 {
-			return nil, errors.New("flstore: short RangeFrontier request")
-		}
-		f, err := r.RangeFrontier(int(binary.LittleEndian.Uint32(p)))
-		if err != nil {
-			return nil, err
-		}
-		return binary.LittleEndian.AppendUint64(nil, f), nil
-	})
-	srv.Handle(msgPullRange, func(p []byte) ([]byte, error) {
-		if len(p) < 16 {
-			return nil, errors.New("flstore: short PullRange request")
-		}
-		rangeIdx := int(binary.LittleEndian.Uint32(p))
-		from := binary.LittleEndian.Uint64(p[4:])
-		limit := int(binary.LittleEndian.Uint32(p[12:]))
-		recs, err := r.PullRange(rangeIdx, from, limit)
-		if err != nil {
-			return nil, err
-		}
-		return core.AppendRecords(make([]byte, 0, core.EncodedSizeRecords(recs)), recs), nil
-	})
-	srv.Handle(msgGossipVec, func(p []byte) ([]byte, error) {
-		vec, _, err := decodeLIds(p)
-		if err != nil {
-			return nil, err
-		}
-		mine, err := r.GossipVec(vec)
-		if err != nil {
-			return nil, err
-		}
-		return appendLIds(nil, mine), nil
-	})
-	if dg, ok := r.(DurableGossipAPI); ok {
-		srv.Handle(msgGossipVecs, func(p []byte) ([]byte, error) {
-			next, n, err := decodeLIds(p)
-			if err != nil {
-				return nil, err
-			}
-			dur, _, err := decodeLIds(p[n:])
-			if err != nil {
-				return nil, err
-			}
-			myNext, myDur, err := dg.GossipVecs(next, dur)
-			if err != nil {
-				return nil, err
-			}
-			return appendLIds(appendLIds(nil, myNext), myDur), nil
-		})
+}
+
+// lidsResponse, u64Response and recordsResponse encode a handler's result
+// (or pass its error through) for the three common response shapes.
+func lidsResponse(lids []uint64, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
 	}
+	return appendLIds(nil, lids), nil
+}
+
+func u64Response(v uint64, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return binary.LittleEndian.AppendUint64(nil, v), nil
+}
+
+func recordsResponse(recs []*core.Record, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return core.AppendRecords(make([]byte, 0, core.EncodedSizeRecords(recs)), recs), nil
 }
 
 // ServeIndexer registers RPC handlers exposing ix on srv.
@@ -613,24 +546,6 @@ func ServeReplicas(srv *rpc.Server, fn func() (*replica.ClusterStatus, error)) {
 		}
 		return json.Marshal(st)
 	})
-}
-
-// FetchReplicas retrieves the replica-group status from a server running
-// ServeReplicas.
-//
-// Deprecated: use NewAdmin(c).Replicas(ctx) — the typed admin client adds
-// cancellation, retries, and the rest of the admin surface.
-func FetchReplicas(c rpc.Client) (*replica.ClusterStatus, error) {
-	return NewAdmin(c).Replicas(context.Background())
-}
-
-// FetchStats retrieves a registry snapshot from a server running
-// ServeStats.
-//
-// Deprecated: use NewAdmin(c).Stats(ctx) — the typed admin client adds
-// cancellation, retries, and the rest of the admin surface.
-func FetchStats(c rpc.Client) (metrics.Snapshot, error) {
-	return NewAdmin(c).Stats(context.Background())
 }
 
 func appendLookup(dst []byte, q LookupQuery) []byte {
@@ -725,65 +640,90 @@ type maintainerClient struct{ c rpc.Client }
 // NewMaintainerClient wraps an RPC client as a MaintainerAPI.
 func NewMaintainerClient(c rpc.Client) MaintainerAPI { return &maintainerClient{c: c} }
 
-func (mc *maintainerClient) Append(recs []*core.Record) ([]uint64, error) {
-	// Encode the batch into a pooled buffer: Call only borrows the request
-	// payload for the call's duration, so it can go back to the pool after.
-	// The batch's trace context (if any) rides the traced envelope —
-	// CallTraced degrades to a plain Call for untraced batches.
+// callWithRecords sends a record batch behind the fixed header already in
+// the pooled request buffer req, which it returns to the pool. The payload
+// is borrowed only for the call's duration. The batch's trace context (if
+// any) rides the traced envelope — CallTraced degrades to a plain Call for
+// untraced batches.
+func (mc *maintainerClient) callWithRecords(msgType uint8, req *[]byte, recs []*core.Record) ([]byte, error) {
 	tc := batchTrace(recs)
-	req := wire.GetBuf()
 	*req = core.AppendRecords(*req, recs)
-	resp, err := rpc.CallTraced(mc.c, &tc, msgAppend, *req)
+	resp, err := rpc.CallTraced(mc.c, &tc, msgType, *req)
 	wire.PutBuf(req)
+	return resp, mapRemoteError(err)
+}
+
+// callAssigning is callWithRecords for position-assigning appends: it
+// decodes the assigned LIds and, mirroring the in-process behaviour,
+// stamps them onto the caller's records.
+func (mc *maintainerClient) callAssigning(msgType uint8, req *[]byte, recs []*core.Record) ([]uint64, error) {
+	resp, err := mc.callWithRecords(msgType, req, recs)
 	if err != nil {
-		return nil, mapRemoteError(err)
+		return nil, err
 	}
 	lids, _, err := decodeLIds(resp)
 	if err != nil {
 		return nil, err
 	}
-	// Mirror the in-process behaviour: assign LIds onto the caller's
-	// records.
 	for i, r := range recs {
 		if i < len(lids) {
 			r.LId = lids[i]
 		}
 	}
 	return lids, nil
+}
+
+// callU64 sends req and decodes a one-word response; name labels the
+// short-response error.
+func (mc *maintainerClient) callU64(msgType uint8, req []byte, name string) (uint64, error) {
+	resp, err := mc.c.Call(msgType, req)
+	if err != nil {
+		return 0, mapRemoteError(err)
+	}
+	if len(resp) < 8 {
+		return 0, errors.New("flstore: short " + name + " response")
+	}
+	return binary.LittleEndian.Uint64(resp), nil
+}
+
+// callForRecords sends req and arena-decodes a record-batch response.
+func (mc *maintainerClient) callForRecords(msgType uint8, req []byte) ([]*core.Record, error) {
+	resp, err := mc.c.Call(msgType, req)
+	if err != nil {
+		return nil, mapRemoteError(err)
+	}
+	recs, _, err := core.DecodeRecordsShared(resp)
+	return recs, err
+}
+
+func (mc *maintainerClient) Append(recs []*core.Record) ([]uint64, error) {
+	return mc.callAssigning(msgAppend, wire.GetBuf(), recs)
 }
 
 func (mc *maintainerClient) AppendAssigned(recs []*core.Record) error {
-	tc := batchTrace(recs)
-	req := wire.GetBuf()
-	*req = core.AppendRecords(*req, recs)
-	_, err := rpc.CallTraced(mc.c, &tc, msgAppendAssigned, *req)
-	wire.PutBuf(req)
-	return mapRemoteError(err)
+	_, err := mc.callWithRecords(msgAppendAssigned, wire.GetBuf(), recs)
+	return err
 }
 
 func (mc *maintainerClient) AppendAfter(minLId uint64, recs []*core.Record) ([]uint64, error) {
-	tc := batchTrace(recs)
 	req := wire.GetBuf()
 	*req = binary.LittleEndian.AppendUint64(*req, minLId)
-	*req = core.AppendRecords(*req, recs)
-	resp, err := rpc.CallTraced(mc.c, &tc, msgAppendAfter, *req)
-	wire.PutBuf(req)
-	if err != nil {
-		return nil, mapRemoteError(err)
-	}
-	lids, _, err := decodeLIds(resp)
-	if err != nil {
+	lids, err := mc.callAssigning(msgAppendAfter, req, recs)
+	if len(lids) == 0 {
 		return nil, err
 	}
-	if len(lids) == 0 {
-		return nil, nil
-	}
-	for i, r := range recs {
-		if i < len(lids) {
-			r.LId = lids[i]
-		}
-	}
-	return lids, nil
+	return lids, err
+}
+
+func (mc *maintainerClient) AppendFor(rangeIdx int, recs []*core.Record) ([]uint64, error) {
+	req := wire.GetBuf()
+	*req = binary.LittleEndian.AppendUint32(*req, uint32(rangeIdx))
+	return mc.callAssigning(msgAppendFor, req, recs)
+}
+
+func (mc *maintainerClient) ReplicaAppend(recs []*core.Record) error {
+	_, err := mc.callWithRecords(msgReplicaAppend, wire.GetBuf(), recs)
+	return err
 }
 
 func (mc *maintainerClient) Read(lid uint64) (*core.Record, error) {
@@ -796,104 +736,35 @@ func (mc *maintainerClient) Read(lid uint64) (*core.Record, error) {
 }
 
 func (mc *maintainerClient) Scan(rule core.Rule) ([]*core.Record, error) {
-	resp, err := mc.c.Call(msgScan, appendRule(nil, rule))
-	if err != nil {
-		return nil, mapRemoteError(err)
-	}
-	recs, _, err := core.DecodeRecordsShared(resp)
-	return recs, err
+	return mc.callForRecords(msgScan, appendRule(nil, rule))
 }
 
 func (mc *maintainerClient) Head() (uint64, error) {
-	resp, err := mc.c.Call(msgHead, nil)
-	if err != nil {
-		return 0, mapRemoteError(err)
-	}
-	if len(resp) < 8 {
-		return 0, errors.New("flstore: short Head response")
-	}
-	return binary.LittleEndian.Uint64(resp), nil
+	return mc.callU64(msgHead, nil, "Head")
 }
 
 func (mc *maintainerClient) NextUnfilled() (uint64, error) {
-	resp, err := mc.c.Call(msgNextUnfilled, nil)
-	if err != nil {
-		return 0, mapRemoteError(err)
-	}
-	if len(resp) < 8 {
-		return 0, errors.New("flstore: short NextUnfilled response")
-	}
-	return binary.LittleEndian.Uint64(resp), nil
+	return mc.callU64(msgNextUnfilled, nil, "NextUnfilled")
 }
 
 func (mc *maintainerClient) Gossip(from int, next uint64) (uint64, error) {
 	req := binary.LittleEndian.AppendUint32(nil, uint32(from))
-	req = binary.LittleEndian.AppendUint64(req, next)
-	resp, err := mc.c.Call(msgGossip, req)
-	if err != nil {
-		return 0, mapRemoteError(err)
-	}
-	if len(resp) < 8 {
-		return 0, errors.New("flstore: short Gossip response")
-	}
-	return binary.LittleEndian.Uint64(resp), nil
-}
-
-func (mc *maintainerClient) AppendFor(rangeIdx int, recs []*core.Record) ([]uint64, error) {
-	tc := batchTrace(recs)
-	req := wire.GetBuf()
-	*req = binary.LittleEndian.AppendUint32(*req, uint32(rangeIdx))
-	*req = core.AppendRecords(*req, recs)
-	resp, err := rpc.CallTraced(mc.c, &tc, msgAppendFor, *req)
-	wire.PutBuf(req)
-	if err != nil {
-		return nil, mapRemoteError(err)
-	}
-	lids, _, err := decodeLIds(resp)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range recs {
-		if i < len(lids) {
-			r.LId = lids[i]
-		}
-	}
-	return lids, nil
-}
-
-func (mc *maintainerClient) ReplicaAppend(recs []*core.Record) error {
-	tc := batchTrace(recs)
-	req := wire.GetBuf()
-	*req = core.AppendRecords(*req, recs)
-	_, err := rpc.CallTraced(mc.c, &tc, msgReplicaAppend, *req)
-	wire.PutBuf(req)
-	return mapRemoteError(err)
+	return mc.callU64(msgGossip, binary.LittleEndian.AppendUint64(req, next), "Gossip")
 }
 
 func (mc *maintainerClient) RangeFrontier(rangeIdx int) (uint64, error) {
 	req := wire.GetBuf()
 	*req = binary.LittleEndian.AppendUint32(*req, uint32(rangeIdx))
-	resp, err := mc.c.Call(msgRangeFrontier, *req)
+	f, err := mc.callU64(msgRangeFrontier, *req, "RangeFrontier")
 	wire.PutBuf(req)
-	if err != nil {
-		return 0, mapRemoteError(err)
-	}
-	if len(resp) < 8 {
-		return 0, errors.New("flstore: short RangeFrontier response")
-	}
-	return binary.LittleEndian.Uint64(resp), nil
+	return f, err
 }
 
 func (mc *maintainerClient) PullRange(rangeIdx int, fromLId uint64, limit int) ([]*core.Record, error) {
 	req := binary.LittleEndian.AppendUint32(nil, uint32(rangeIdx))
 	req = binary.LittleEndian.AppendUint64(req, fromLId)
 	req = binary.LittleEndian.AppendUint32(req, uint32(limit))
-	resp, err := mc.c.Call(msgPullRange, req)
-	if err != nil {
-		return nil, mapRemoteError(err)
-	}
-	recs, _, err := core.DecodeRecordsShared(resp)
-	return recs, err
+	return mc.callForRecords(msgPullRange, req)
 }
 
 func (mc *maintainerClient) ReadRange(q RangeQuery) (RangeResult, error) {
@@ -915,12 +786,8 @@ func (mc *maintainerClient) ReadRange(q RangeQuery) (RangeResult, error) {
 func (mc *maintainerClient) MultiRead(lids []uint64) ([]*core.Record, error) {
 	req := wire.GetBuf()
 	*req = appendLIds(*req, lids)
-	resp, err := mc.c.Call(msgMultiRead, *req)
+	recs, err := mc.callForRecords(msgMultiRead, *req)
 	wire.PutBuf(req)
-	if err != nil {
-		return nil, mapRemoteError(err)
-	}
-	recs, _, err := core.DecodeRecordsShared(resp)
 	return recs, err
 }
 
@@ -929,14 +796,7 @@ func (mc *maintainerClient) TailWait(rangeIdx int, cursor uint64, maxWait time.D
 	req = binary.LittleEndian.AppendUint32(req, uint32(int32(rangeIdx)))
 	req = binary.LittleEndian.AppendUint64(req, cursor)
 	req = binary.LittleEndian.AppendUint64(req, uint64(int64(maxWait)))
-	resp, err := mc.c.Call(msgTailWait, req)
-	if err != nil {
-		return 0, mapRemoteError(err)
-	}
-	if len(resp) < 8 {
-		return 0, errors.New("flstore: short TailWait response")
-	}
-	return binary.LittleEndian.Uint64(resp), nil
+	return mc.callU64(msgTailWait, req, "TailWait")
 }
 
 func (mc *maintainerClient) Invalidate(rangeIdx int, upTo uint64) error {

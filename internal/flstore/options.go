@@ -1,10 +1,9 @@
 package flstore
 
-// Functional options for Client construction. These supersede mutating the
-// exported knob fields (ReadRetries, RetryBackoff, DisableRangeRead) after
-// construction: options are applied once, before the client serves calls,
-// so there is no window where a concurrent reader sees a half-configured
-// client. The old fields keep working for existing callers.
+// Functional options for Client construction, passed to NewClient,
+// NewDirectClient or NewReplicatedDirectClient. Options are applied once,
+// before the client serves calls, so there is no window where a concurrent
+// reader sees a half-configured client.
 
 import (
 	"time"
@@ -18,21 +17,14 @@ type ClientOption func(*Client)
 // WithReadRetries bounds how many attempts reads make while the requested
 // position is past the head of the log (default 50).
 func WithReadRetries(n int) ClientOption {
-	return func(c *Client) { c.ReadRetries = n }
+	return func(c *Client) { c.readRetries = n }
 }
 
 // WithRetryBackoff sets the base of the capped-exponential schedule read
-// retries sleep on, and the legacy tail/poll tick (default 2ms; 0 disables
-// sleeping between read retries).
+// retries sleep on, and the multi-epoch tail/poll tick (default 2ms; 0
+// disables sleeping between read retries).
 func WithRetryBackoff(d time.Duration) ClientOption {
-	return func(c *Client) { c.RetryBackoff = d }
-}
-
-// WithRangeReadDisabled forces the legacy single-record/scan read paths
-// even when every maintainer supports batched reads — the comparison knob
-// the read-path experiment and benchmarks flip.
-func WithRangeReadDisabled(v bool) ClientOption {
-	return func(c *Client) { c.DisableRangeRead = v }
+	return func(c *Client) { c.retryBackoff = d }
 }
 
 // WithAppendRetries lets the append path retry a retryable rejection
@@ -65,59 +57,14 @@ func WithAdaptivePacing() ClientOption {
 // sitting on the append p99. No-op on unreplicated clients; see
 // replica.SessionConfig.QuorumFanout for the trade-off.
 func WithQuorumFanout() ClientOption {
-	return func(c *Client) {
-		if c.session != nil {
-			c.session.SetQuorumFanout(true)
-		}
-	}
+	return func(c *Client) { c.session.SetQuorumFanout(true) }
 }
 
 // WithReadPolicy sets the replica read-placement policy on a replicated
 // client (replica.OwnerFirst, replica.SpreadReads, replica.NearestFirst).
 // Reads still fail over across the group in policy order when the picked
-// member is down or behind. No-op on unreplicated clients.
+// member is down or behind. No-op on unreplicated clients (a group of one
+// has a single order).
 func WithReadPolicy(p replica.ReadPolicy) ClientOption {
-	return func(c *Client) {
-		if c.session != nil {
-			c.session.SetReadPolicy(p)
-		}
-	}
-}
-
-// NewClientWith is NewClient plus construction-time options.
-func NewClientWith(ctrl ControllerAPI, opts ...ClientOption) (*Client, error) {
-	c, err := NewClient(ctrl)
-	if err != nil {
-		return nil, err
-	}
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c, nil
-}
-
-// NewDirectClientWith is NewDirectClient plus construction-time options —
-// the wiring simulations and tests use.
-func NewDirectClientWith(p Placement, maintainers []MaintainerAPI, indexers []IndexerAPI, opts ...ClientOption) (*Client, error) {
-	c, err := NewDirectClient(p, maintainers, indexers)
-	if err != nil {
-		return nil, err
-	}
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c, nil
-}
-
-// NewReplicatedDirectClientWith is NewReplicatedDirectClient plus
-// construction-time options.
-func NewReplicatedDirectClientWith(p Placement, maintainers []MaintainerAPI, indexers []IndexerAPI, r int, ack replica.AckPolicy, opts ...ClientOption) (*Client, error) {
-	c, err := NewReplicatedDirectClient(p, maintainers, indexers, r, ack)
-	if err != nil {
-		return nil, err
-	}
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c, nil
+	return func(c *Client) { c.session.SetReadPolicy(p) }
 }

@@ -171,38 +171,29 @@ func TestTailCachedReadAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkTailPushVsPoll contrasts the two tail implementations on a
-// pre-filled log: the subscription path drains it in chunked range reads;
-// the legacy path (DisableRangeRead) re-derives the head and merges scans.
-func BenchmarkTailPushVsPoll(b *testing.B) {
-	for _, legacy := range []bool{false, true} {
-		name := "push"
-		if legacy {
-			name = "poll"
-		}
-		b.Run(name, func(b *testing.B) {
-			c, _ := newReadStack(b, 2, 8)
-			c.DisableRangeRead = legacy
-			head, err := c.HeadExact()
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				seen := uint64(0)
-				err := c.Tail(ctx, 1, func(r *core.Record) bool {
-					seen++
-					return seen < head
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if seen != head {
-					b.Fatalf("tailed %d of %d", seen, head)
-				}
-			}
+// BenchmarkTailPush measures the subscription tail draining a pre-filled
+// log in chunked range reads. The poll comparison arm is the read-path
+// experiment's (internal/cluster).
+func BenchmarkTailPush(b *testing.B) {
+	c, _ := newReadStack(b, 2, 8)
+	head, err := c.HeadExact()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seen := uint64(0)
+		err := c.Tail(ctx, 1, func(r *core.Record) bool {
+			seen++
+			return seen < head
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if seen != head {
+			b.Fatalf("tailed %d of %d", seen, head)
+		}
 	}
 }

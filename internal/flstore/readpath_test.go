@@ -300,22 +300,26 @@ func TestClientReadRangeMergesByPlacement(t *testing.T) {
 	if recs, err = c.ReadRange(head+1, head+10); err != nil || len(recs) != 0 {
 		t.Fatalf("past-head range = %d recs, %v", len(recs), err)
 	}
-	// The legacy scan path returns the same full window.
+	// A multi-epoch journal (here: an announced future epoch) reads
+	// through the merged-scan path, which returns the same full window.
 	full, err := c.ReadRange(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.DisableRangeRead = true
-	legacy, err := c.ReadRange(1, 0)
+	c.epochs = append(c.epochs, Epoch{FirstLId: head + 1000, Placement: c.placement})
+	if !c.multiEpoch() {
+		t.Fatal("two-entry journal not treated as multi-epoch")
+	}
+	scanned, err := c.ReadRange(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full) != len(legacy) {
-		t.Fatalf("legacy path returned %d records, batched %d", len(legacy), len(full))
+	if len(full) != len(scanned) {
+		t.Fatalf("scan path returned %d records, batched %d", len(scanned), len(full))
 	}
-	for i := range legacy {
-		if legacy[i].LId != full[i].LId || !bytes.Equal(legacy[i].Body, full[i].Body) {
-			t.Fatalf("legacy/batched disagree at %d: %d vs %d", i, legacy[i].LId, full[i].LId)
+	for i := range scanned {
+		if scanned[i].LId != full[i].LId || !bytes.Equal(scanned[i].Body, full[i].Body) {
+			t.Fatalf("scan/batched disagree at %d: %d vs %d", i, scanned[i].LId, full[i].LId)
 		}
 	}
 }
@@ -499,9 +503,6 @@ func TestTailSurvivesMaintainerKillMidStream(t *testing.T) {
 	client, err := NewReplicatedDirectClient(p, []MaintainerAPI{wire(0), wire(1), wire(2)}, nil, r, replica.AckMajority)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !client.rangeOK() {
-		t.Fatal("replicated RPC wiring lost the batched read surface")
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)

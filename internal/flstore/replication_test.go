@@ -1,6 +1,7 @@
 package flstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -11,14 +12,11 @@ import (
 	"repro/internal/rpc"
 )
 
-// The maintainer and its RPC client must both satisfy the replica-session
-// surface; a signature drift fails compilation here rather than at a
-// type-assertion inside initSession.
+// The maintainer and its RPC client must both carry the whole maintainer
+// surface; a signature drift fails compilation here.
 var (
-	_ replica.Member = (*Maintainer)(nil)
-	_ replica.Member = (*maintainerClient)(nil)
-	_ ReplicaAPI     = (*Maintainer)(nil)
-	_ ReplicaAPI     = (*maintainerClient)(nil)
+	_ MaintainerAPI = (*Maintainer)(nil)
+	_ MaintainerAPI = (*maintainerClient)(nil)
 )
 
 // buildReplicatedDirect wires n in-process maintainers with replication r
@@ -186,7 +184,7 @@ func TestReplicaStatusRPCRoundTrip(t *testing.T) {
 			return ms[mi].DurableWatermark(ri)
 		}), nil
 	})
-	st, err := FetchReplicas(rpc.NewLocalClient(srv))
+	st, err := NewAdmin(rpc.NewLocalClient(srv)).Replicas(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,19 +55,10 @@ func CatchUpRange(target, peer Member, rangeIdx int, batchLimit int) (int, error
 // resolved itself (announcements outrun payloads by design); without the
 // replay, a rejoined member would treat those positions as nonexistent
 // and could serve a stale no-such-record the moment it is readmitted.
-// Best-effort by construction: members that predate the invalidation
-// protocol simply skip it, and the next live fan-out re-announces.
+// Best-effort by construction: the next live fan-out re-announces.
 func replayInvalidations(target, peer Member, rangeIdx int) {
-	inv, ok := target.(Invalidator)
-	if !ok {
-		return
-	}
-	wr, ok := peer.(WatermarkReporter)
-	if !ok {
-		return
-	}
-	if _, announced, err := wr.ValidityWatermark(rangeIdx); err == nil && announced > 0 {
-		_ = inv.Invalidate(rangeIdx, announced)
+	if _, announced, err := peer.ValidityWatermark(rangeIdx); err == nil && announced > 0 {
+		_ = target.Invalidate(rangeIdx, announced)
 	}
 }
 

@@ -20,13 +20,13 @@
 //
 // Reads follow the Hermes model (invalidation-based, broadcast-write
 // replication): the acting primary announces each batch's assignment to
-// the group ahead of the payload (Invalidator), every member derives a
-// validity watermark from its dense-prefix frontier, and any member
-// serves reads below its watermark locally — no owner round trip. Reads
-// between the watermark and the announced bound are *invalid* at that
-// member: they block briefly for the in-flight payload, then fail over
-// to a fresher replica via a retryable error. Which member a read tries
-// first is a pluggable ReadPolicy (owner-first, load-spreading, or
+// the group ahead of the payload (Member.Invalidate), every member
+// derives a validity watermark from its dense-prefix frontier, and any
+// member serves reads below its watermark locally — no owner round trip.
+// Reads between the watermark and the announced bound are *invalid* at
+// that member: they block briefly for the in-flight payload, then fail
+// over to a fresher replica via a retryable error. Which member a read
+// tries first is a pluggable ReadPolicy (owner-first, load-spreading, or
 // proximity-ordered), so replication factor multiplies aggregate read
 // throughput instead of only buying failover.
 package replica

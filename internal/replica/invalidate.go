@@ -5,32 +5,6 @@ import (
 	"time"
 )
 
-// Invalidator is the optional invalidation surface of a Member. A member
-// that implements it participates in Hermes-style invalidation
-// replication: the acting primary announces each batch's assignment
-// (range plus exclusive upper LId bound) ahead of the record payload, so
-// every group member knows which positions exist before it holds their
-// bytes. Positions that are announced but not yet resolved locally are
-// *invalid* — a member must not answer reads for them with "no such
-// record"; it blocks briefly for the in-flight payload or tells the
-// caller to retry. Members that do not implement Invalidator keep the
-// PR-3 failover-only behavior.
-type Invalidator interface {
-	// Invalidate announces that every position of rangeIdx strictly below
-	// upTo has been assigned by the range's acting primary. Idempotent and
-	// monotone: stale or duplicate announcements are no-ops.
-	Invalidate(rangeIdx int, upTo uint64) error
-}
-
-// WatermarkReporter is the optional status surface of an invalidating
-// member: the validity watermark (the dense-prefix frontier LId — every
-// position below it is resolved and served locally) and the announced
-// assignment bound for a hosted range. The span between the two is the
-// member's invalidation backlog.
-type WatermarkReporter interface {
-	ValidityWatermark(rangeIdx int) (watermark, announced uint64, err error)
-}
-
 // ReadPolicy orders the members of a replica group for one read. Pick
 // returns the member index to try at attempt k (0 ≤ k < l.R) against
 // rangeIdx's group; token is drawn once per read, so a policy that

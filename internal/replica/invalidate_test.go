@@ -10,8 +10,8 @@ import (
 )
 
 // invalidatingFake is a fakeMember that also records invalidation
-// announcements, standing in for a maintainer that implements the
-// optional Invalidator/WatermarkReporter surface.
+// announcements and reports them through ValidityWatermark, standing in
+// for a maintainer's invalidation surface.
 type invalidatingFake struct {
 	*fakeMember
 	mu    sync.Mutex

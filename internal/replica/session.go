@@ -43,6 +43,21 @@ type Member interface {
 	// PullRange streams up to limit stored records of rangeIdx with
 	// LId >= fromLId in ascending LId order — the catch-up feed.
 	PullRange(rangeIdx int, fromLId uint64, limit int) ([]*core.Record, error)
+	// Invalidate announces that every position of rangeIdx strictly below
+	// upTo has been assigned by the range's acting primary (Hermes-style
+	// invalidation: the announcement rides ahead of the payload, so a
+	// member knows which positions exist before it holds their bytes).
+	// Positions announced but not yet resolved locally are *invalid* — the
+	// member must not answer reads for them with "no such record"; it
+	// blocks briefly for the in-flight payload or tells the caller to
+	// retry. Idempotent and monotone: stale or duplicate announcements are
+	// no-ops.
+	Invalidate(rangeIdx int, upTo uint64) error
+	// ValidityWatermark returns a hosted range's validity watermark (the
+	// dense-prefix frontier LId — every position below it is resolved and
+	// served locally) and its announced assignment bound; the span between
+	// the two is the member's invalidation backlog.
+	ValidityWatermark(rangeIdx int) (watermark, announced uint64, err error)
 }
 
 // SessionConfig configures a replica session.
@@ -397,11 +412,10 @@ func (s *Session) primaryAppend(ap, rangeIdx int, recs []*core.Record) ([]uint64
 // ack policy, leaving stragglers to finish detached — an ack from a member
 // means the copy is *stored* there (fsynced when the member's store is
 // durable), so a quorum return is a durability quorum, not a buffer
-// quorum. Members that implement Invalidator first receive the batch's
-// assignment announcement (upTo is the exclusive LId bound: one past the
-// batch's last assigned position), so a follower knows the positions
-// exist — and stops serving stale no-such-record for them — before the
-// payload lands.
+// quorum. Every member first receives the batch's assignment
+// announcement (upTo is the exclusive LId bound: one past the batch's last
+// assigned position), so a follower knows the positions exist — and stops
+// serving stale no-such-record for them — before the payload lands.
 func (s *Session) fanOut(rangeIdx, actingPrimary int, upTo uint64, recs []*core.Record) int {
 	g := s.cfg.Layout.Group(rangeIdx)
 	// Buffered to the fan-out width so detached stragglers never block.
@@ -437,11 +451,11 @@ func (s *Session) fanOut(rangeIdx, actingPrimary int, upTo uint64, recs []*core.
 // member acked (stored) the copy.
 func (s *Session) fanOutOne(mi, rangeIdx int, upTo uint64, recs []*core.Record) bool {
 	m := s.Member(mi)
-	if inv, ok := m.(Invalidator); ok && upTo > 0 {
+	if upTo > 0 {
 		// Best-effort: the copy that follows carries the same
 		// information; a dropped invalidation only delays local
 		// readability, never correctness.
-		if err := inv.Invalidate(rangeIdx, upTo); err == nil {
+		if err := m.Invalidate(rangeIdx, upTo); err == nil {
 			s.invalidations.Inc()
 		}
 	}
@@ -471,9 +485,9 @@ func (s *Session) fanOutOne(mi, rangeIdx int, upTo uint64, recs []*core.Record) 
 // mark the member and move on.
 func (s *Session) Read(lid uint64) (*core.Record, error) {
 	var rec *core.Record
-	err := s.ReadWith(s.cfg.Owner(lid), func(m Member) error {
+	err := s.ReadWith(s.cfg.Owner(lid), func(mi int) error {
 		var e error
-		rec, e = m.Read(lid)
+		rec, e = s.Member(mi).Read(lid)
 		return e
 	})
 	if err != nil {
@@ -489,10 +503,11 @@ func (s *Session) Read(lid uint64) (*core.Record, error) {
 // moving to the next member. Retryable errors — a member blocked on an
 // unresolved invalidation, or one shedding load — also fail over, but
 // without a health penalty: the member is healthy, just momentarily
-// behind or saturated. fn returns its result through its closure. This is
-// the hook the batched read path (range reads, tail waits) shares with
-// single-record reads.
-func (s *Session) ReadWith(rangeIdx int, fn func(m Member) error) error {
+// behind or saturated. fn receives the index of the member to try and
+// returns its result through its closure, so callers holding a wider
+// handle for that member (the batched read path: range reads, tail waits)
+// share the failover discipline with single-record reads.
+func (s *Session) ReadWith(rangeIdx int, fn func(mi int) error) error {
 	var lastErr error
 	tried := 0
 	pol := s.ReadPolicy()
@@ -504,7 +519,7 @@ func (s *Session) ReadWith(rangeIdx int, fn func(m Member) error) error {
 		if !s.health.Usable(mi) {
 			continue
 		}
-		err := fn(s.Member(mi))
+		err := fn(mi)
 		if err == nil {
 			s.health.ReportOK(mi)
 			if tried > 0 {

@@ -153,6 +153,13 @@ func (f *fakeMember) PullRange(rangeIdx int, fromLId uint64, limit int) ([]*core
 	return out, nil
 }
 
+// Invalidate and ValidityWatermark are no-ops: the plain fake resolves
+// every position as soon as its payload lands. invalidatingFake overrides
+// both to record announcements.
+func (f *fakeMember) Invalidate(rangeIdx int, upTo uint64) error { return nil }
+
+func (f *fakeMember) ValidityWatermark(rangeIdx int) (uint64, uint64, error) { return 0, 0, nil }
+
 func (f *fakeMember) setDown(d bool) {
 	f.mu.Lock()
 	f.down = d

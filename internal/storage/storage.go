@@ -51,6 +51,10 @@ type Store interface {
 	GC(upTo uint64) (int, error)
 	// Close releases resources; further operations fail with ErrClosed.
 	Close() error
+	// Durable reports whether AppendBatch implies stable storage on
+	// return. The maintainer's durable watermark only advances over
+	// stores that report true.
+	Durable() bool
 }
 
 // MemStore is an in-memory Store used by simulations and as the index tier
@@ -153,6 +157,9 @@ func (s *MemStore) Scan(minLId, maxLId uint64, fn func(*core.Record) bool) error
 	}
 	return nil
 }
+
+// Durable implements Store: memory does not survive a crash.
+func (s *MemStore) Durable() bool { return false }
 
 // MaxLId implements Store.
 func (s *MemStore) MaxLId() uint64 {
